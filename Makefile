@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke baseline serve-smoke chaos-smoke obs-smoke fleet-smoke fleet-chaos membership-chaos designspace-smoke scale-smoke clean
+.PHONY: all build vet test race bench bench-smoke baseline serve-smoke chaos-smoke obs-smoke fleet-smoke fleet-chaos membership-chaos designspace-smoke scale-smoke grid-smoke clean
 
 all: build vet test
 
@@ -78,6 +78,13 @@ designspace-smoke:
 # pinned digest — the barrier-phase scheduler's determinism contract.
 scale-smoke:
 	./scripts/scale_smoke.sh
+
+# Grid smoke test: the seed-1 fig13,fig14 sweep run at GOMAXPROCS=1 and at
+# the host's full GOMAXPROCS must be byte-identical to each other and to
+# the pinned digest — the concurrent single-core grid's determinism
+# contract.
+grid-smoke:
+	./scripts/grid_smoke.sh
 
 # Fleet chaos test: the same grid sweep on a clean fleet and on a fleet
 # with seeded faults on every hop plus a node kill -9'd mid-sweep; the two

@@ -12,6 +12,9 @@ package cachesim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"sort"
 
 	"mallacc/internal/telemetry"
 )
@@ -44,19 +47,25 @@ func (s Stats) MissRate() float64 {
 	return telemetry.Rate(s.Misses, s.Accesses())
 }
 
-// way is one cache line's metadata. A line is valid iff stamp > the
-// cache's epoch watermark: the LRU clock pre-increments before every stamp
-// write, so live lines always carry a stamp above the epoch they were
-// written in, and whole-cache invalidation (Reset, Flush) is O(1) — raise
-// the epoch to the current clock and every line goes stale at once.
-// Single-line invalidation zeroes the stamp (0 is never above any epoch).
-// Packing tag and stamp into one 16-byte struct (instead of the former
-// parallel tags/valid/stamp slices) makes a way probe touch one cache line
-// instead of three — Lookup and Insert are the hottest leaves of the
-// timing model.
+// way is one cache line's metadata, packed into 8 bytes. The tag is the
+// line number with the set-index bits shifted out (ln >> setBits): the set
+// a way sits in already encodes them, so the line number is recovered as
+// tag<<setBits | set. A line is valid iff stamp > the cache's epoch
+// watermark: the LRU clock pre-increments before every stamp write, so
+// live lines always carry a stamp above the epoch they were written in,
+// and whole-cache invalidation (Reset, Flush) is O(1) — raise the epoch to
+// the current clock and every line goes stale at once. Single-line
+// invalidation zeroes the stamp (0 is never above any epoch).
+//
+// Eight bytes per way keep a hierarchy's host memory small — the 8 MiB L3
+// is 1 MiB of way metadata, and concurrent simulations each hold one — and
+// a probe of a 16-way set touches two host cache lines. The 32-bit stamp
+// would wrap after ~4e9 accesses to one cache; the clock renormalises the
+// live stamps in order first (see tick), so LRU decisions never see a
+// wrap.
 type way struct {
-	tag   uint64 // line number (addr >> LineShift); garbage while stale
-	stamp uint64 // LRU stamp; valid iff > the cache epoch
+	tag   uint32 // line number >> setBits; garbage while stale
+	stamp uint32 // LRU stamp; valid iff > the cache epoch
 }
 
 // Cache is one set-associative level with true-LRU replacement implemented
@@ -66,13 +75,15 @@ type way struct {
 type Cache struct {
 	ways    []way  // sets*cfg.Ways
 	shift   uint   // cfg.LineShift
+	setBits uint   // log2(sets)
 	setMask uint64 // sets - 1
 	nw      int    // cfg.Ways
-	clock   uint64
+	clock   uint32
 	// epoch is the invalidation watermark: lines stamped at or below it are
-	// stale. The clock never rewinds (it survives Reset), so stamp order —
-	// the only thing LRU decisions read — is isomorphic to a fresh cache's.
-	epoch uint64
+	// stale. The clock never rewinds across Reset, so stamp order — the
+	// only thing LRU decisions read — is isomorphic to a fresh cache's;
+	// renormalisation rewrites clock, epoch and stamps together.
+	epoch uint32
 	Stats Stats
 	cfg   Config
 	sets  int
@@ -91,6 +102,7 @@ func New(cfg Config) *Cache {
 	return &Cache{
 		ways:    make([]way, sets*cfg.Ways),
 		shift:   cfg.LineShift,
+		setBits: uint(bits.TrailingZeros(uint(sets))),
 		setMask: uint64(sets - 1),
 		nw:      cfg.Ways,
 		cfg:     cfg,
@@ -107,22 +119,66 @@ func (c *Cache) Ways() int { return c.cfg.Ways }
 // Latency returns the hit latency.
 func (c *Cache) Latency() uint64 { return c.cfg.Latency }
 
-// line returns the line number and set index for an address.
-func (c *Cache) line(addr uint64) (ln uint64, set int) {
-	ln = addr >> c.shift
-	return ln, int(ln & c.setMask)
+// split returns the packed tag and set index of line number ln. A line
+// whose tag does not fit the way's 32 bits panics: truncating it would
+// silently alias distinct lines.
+func (c *Cache) split(ln uint64) (tag uint32, set int) {
+	t := ln >> c.setBits
+	if t > math.MaxUint32 {
+		c.tagOverflow(ln)
+	}
+	return uint32(t), int(ln & c.setMask)
+}
+
+// tagOverflow is split's panic, kept out of line so split inlines into the
+// probe loops.
+//
+//go:noinline
+func (c *Cache) tagOverflow(ln uint64) {
+	panic(fmt.Sprintf("cachesim: %s line %#x beyond the 32-bit tag range", c.cfg.Name, ln))
+}
+
+// tick advances the LRU clock and returns the new stamp, renormalising
+// first when the clock is about to wrap.
+func (c *Cache) tick() uint32 {
+	if c.clock == math.MaxUint32 {
+		c.renormalize()
+	}
+	c.clock++
+	return c.clock
+}
+
+// renormalize rewrites every live stamp to its rank (1..n) in global stamp
+// order and every stale one to 0, then restarts the epoch at 0 and the
+// clock at n. Stamps are unique and LRU decisions only compare them (with
+// each other and with the epoch), so the cache behaves exactly as before.
+func (c *Cache) renormalize() {
+	live := make([]int, 0, len(c.ways))
+	for i, w := range c.ways {
+		if w.stamp > c.epoch {
+			live = append(live, i)
+		} else {
+			c.ways[i].stamp = 0
+		}
+	}
+	sort.Slice(live, func(a, b int) bool { return c.ways[live[a]].stamp < c.ways[live[b]].stamp })
+	for rank, i := range live {
+		c.ways[i].stamp = uint32(rank + 1)
+	}
+	c.epoch = 0
+	c.clock = uint32(len(live))
 }
 
 // Lookup probes for addr without modifying contents, updating LRU and stats
 // on a hit.
 func (c *Cache) Lookup(addr uint64) bool {
-	ln, set := c.line(addr)
+	tag, set := c.split(addr >> c.shift)
 	base := set * c.nw
-	c.clock++
+	now := c.tick()
 	s := c.ways[base : base+c.nw]
 	for i := range s {
-		if s[i].stamp > c.epoch && s[i].tag == ln {
-			s[i].stamp = c.clock
+		if s[i].stamp > c.epoch && s[i].tag == tag {
+			s[i].stamp = now
 			c.Stats.Hits++
 			return true
 		}
@@ -141,15 +197,15 @@ func (c *Cache) Lookup(addr uint64) bool {
 // order wins — and otherwise the FIRST way holding the minimum stamp wins
 // (valid stamps are unique, so strict < picks the first minimum).
 func (c *Cache) Insert(addr uint64) (evicted uint64, wasEvicted bool) {
-	ln, set := c.line(addr)
+	tag, set := c.split(addr >> c.shift)
 	base := set * c.nw
-	c.clock++
+	now := c.tick()
 	s := c.ways[base : base+c.nw]
 	victim := 0
-	var oldest uint64 = ^uint64(0)
+	var oldest uint32 = math.MaxUint32
 	for i := range s {
-		if s[i].stamp > c.epoch && s[i].tag == ln {
-			s[i].stamp = c.clock // already present
+		if s[i].stamp > c.epoch && s[i].tag == tag {
+			s[i].stamp = now // already present
 			return 0, false
 		}
 		if s[i].stamp <= c.epoch {
@@ -160,20 +216,21 @@ func (c *Cache) Insert(addr uint64) (evicted uint64, wasEvicted bool) {
 			oldest = s[i].stamp
 		}
 	}
-	wasEvicted = s[victim].stamp > c.epoch
-	evicted = s[victim].tag
-	s[victim].tag = ln
-	s[victim].stamp = c.clock
+	if s[victim].stamp > c.epoch {
+		evicted, wasEvicted = uint64(s[victim].tag)<<c.setBits|uint64(set), true
+	}
+	s[victim].tag = tag
+	s[victim].stamp = now
 	return evicted, wasEvicted
 }
 
 // InvalidateLine removes a line (by line number) if present.
 func (c *Cache) InvalidateLine(ln uint64) {
-	set := int(ln & c.setMask)
+	tag, set := c.split(ln)
 	base := set * c.nw
 	s := c.ways[base : base+c.nw]
 	for i := range s {
-		if s[i].stamp > c.epoch && s[i].tag == ln {
+		if s[i].stamp > c.epoch && s[i].tag == tag {
 			s[i].stamp = 0
 			return
 		}
@@ -182,10 +239,10 @@ func (c *Cache) InvalidateLine(ln uint64) {
 
 // Contains probes without any side effects (no LRU or stats update).
 func (c *Cache) Contains(addr uint64) bool {
-	ln, set := c.line(addr)
+	tag, set := c.split(addr >> c.shift)
 	base := set * c.nw
 	for _, w := range c.ways[base : base+c.nw] {
-		if w.stamp > c.epoch && w.tag == ln {
+		if w.stamp > c.epoch && w.tag == tag {
 			return true
 		}
 	}
@@ -201,9 +258,10 @@ func (c *Cache) EvictLRUHalf() {
 		base := set * c.cfg.Ways
 		s := c.ways[base : base+c.cfg.Ways]
 		for k := 0; k < half; k++ {
-			victim, oldest := -1, ^uint64(0)
+			victim := -1
+			var oldest uint32
 			for i := range s {
-				if s[i].stamp > c.epoch && s[i].stamp < oldest {
+				if s[i].stamp > c.epoch && (victim < 0 || s[i].stamp < oldest) {
 					victim, oldest = i, s[i].stamp
 				}
 			}

@@ -47,19 +47,14 @@ func Ablation(opt ExpOptions) *Report {
 		"extension beyond the paper's figures; 32-entry cache (so tp's 25 classes fit and the blocking rule is exercised)",
 		"'no prefetch blocking' is a timing-only what-if: real hardware needs the rule for consistency (Sec. 4.1)")
 
-	baselines := map[string]float64{}
+	// The grid: every workload's baseline, then one row of mallacc runs
+	// per configuration.
+	var grid []Options
 	for _, wn := range ablationWorkloads {
-		r := opt.run(Options{Workload: mustWorkload(wn), Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
-		baselines[wn] = float64(r.AllocatorCycles())
+		grid = append(grid, Options{Workload: mustWorkload(wn), Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
 	}
-
-	header := []string{"configuration"}
-	for _, wn := range ablationWorkloads {
-		header = append(header, shortName(wn))
-	}
-	tb := &table{header: header}
-	for _, cfg := range ablationConfigs() {
-		row := []string{cfg.name}
+	configs := ablationConfigs()
+	for _, cfg := range configs {
 		for _, wn := range ablationWorkloads {
 			o := Options{
 				Workload:  mustWorkload(wn),
@@ -69,8 +64,23 @@ func Ablation(opt ExpOptions) *Report {
 				Seed:      opt.Seed,
 			}
 			cfg.apply(&o)
-			r := opt.run(o)
-			imp := 100 * (baselines[wn] - float64(r.AllocatorCycles())) / baselines[wn]
+			grid = append(grid, o)
+		}
+	}
+	res := opt.runGrid(grid)
+	baselines, rows := res[:len(ablationWorkloads)], res[len(ablationWorkloads):]
+
+	header := []string{"configuration"}
+	for _, wn := range ablationWorkloads {
+		header = append(header, shortName(wn))
+	}
+	tb := &table{header: header}
+	for i, cfg := range configs {
+		row := []string{cfg.name}
+		for j := range ablationWorkloads {
+			b := float64(baselines[j].AllocatorCycles())
+			r := rows[i*len(ablationWorkloads)+j]
+			imp := 100 * (b - float64(r.AllocatorCycles())) / b
 			row = append(row, pct(imp))
 		}
 		tb.addRow(row...)

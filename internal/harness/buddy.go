@@ -56,10 +56,17 @@ func Buddy(opt ExpOptions) *Report {
 		"but modern allocators abandoned them for fragmentation; frag = allocated/requested bytes (internal only)",
 		"workloads dominated by power-of-two requests (xapian) escape the penalty; typical object sizes (omnetpp's 40/80/208B events) pay heavily")
 	tb := &table{header: []string{"workload", "tcm-base cyc", "tcm-mallacc cyc", "hw-buddy cyc", "tcm frag", "buddy frag"}}
+	var grid []Options
 	for _, wn := range buddyWorkloads {
 		w := mustWorkload(wn)
-		base := opt.run(Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
-		mall := opt.run(Options{Workload: w, Variant: VariantMallacc, MCEntries: 32, Calls: opt.Calls, Seed: opt.Seed})
+		grid = append(grid,
+			Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed},
+			Options{Workload: w, Variant: VariantMallacc, MCEntries: 32, Calls: opt.Calls, Seed: opt.Seed})
+	}
+	res := opt.runGrid(grid)
+	for i, wn := range buddyWorkloads {
+		w := mustWorkload(wn)
+		base, mall := res[2*i], res[2*i+1]
 
 		bh := buddy.New(mem.NewDefaultSpace())
 		bh.Variant = buddy.Hardware

@@ -166,11 +166,18 @@ func CrossAlloc(opt ExpOptions) *Report {
 		"jemalloc/hoard run the malloc cache in generic raw-size mode (no TCMalloc index hardware); 32 entries everywhere",
 		"hoard's warm fast path hides latency gains behind its per-heap lock (the accelerator targets lock-free fast paths); its gains come from cache isolation under pressure")
 	tb := &table{header: []string{"workload", "tcmalloc malloc-imp", "jemalloc malloc-imp", "hoard malloc-imp", "tcmalloc alloc-imp", "jemalloc alloc-imp", "hoard alloc-imp"}}
+	// TCMalloc through the standard driver (raw-size mode for parity).
+	var grid []Options
 	for _, wn := range crossWorkloads {
 		w := mustWorkload(wn)
-		// TCMalloc through the standard driver (raw-size mode for parity).
-		tb0 := opt.run(Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
-		tb1 := opt.run(Options{Workload: w, Variant: VariantMallacc, MCEntries: 32, IndexModeOff: true, Calls: opt.Calls, Seed: opt.Seed})
+		grid = append(grid,
+			Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed},
+			Options{Workload: w, Variant: VariantMallacc, MCEntries: 32, IndexModeOff: true, Calls: opt.Calls, Seed: opt.Seed})
+	}
+	res := opt.runGrid(grid)
+	for i, wn := range crossWorkloads {
+		w := mustWorkload(wn)
+		tb0, tb1 := res[2*i], res[2*i+1]
 		// jemalloc and hoard through the adapters.
 		jm0, ja0 := runJemalloc(w, tcmalloc.ModeBaseline, opt.Calls, opt.Seed)
 		jm1, ja1 := runJemalloc(w, tcmalloc.ModeMallacc, opt.Calls, opt.Seed)

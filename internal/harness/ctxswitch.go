@@ -34,17 +34,26 @@ func CtxSwitch(opt ExpOptions) *Report {
 			header = append(header, fmt.Sprintf("1/%d", iv))
 		}
 	}
-	tb := &table{header: header}
-	hitTb := &table{header: header}
+	var grid []Options
 	for _, wn := range ctxWorkloads {
 		w := mustWorkload(wn)
+		for _, iv := range ctxIntervals {
+			grid = append(grid,
+				Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed,
+					Threads: 4, SwitchEvery: iv},
+				Options{Workload: w, Variant: VariantMallacc, MCEntries: 16, Calls: opt.Calls, Seed: opt.Seed,
+					Threads: 4, SwitchEvery: iv})
+		}
+	}
+	res := opt.runGrid(grid)
+	tb := &table{header: header}
+	hitTb := &table{header: header}
+	for i, wn := range ctxWorkloads {
 		row := []string{wn}
 		hitRow := []string{wn}
-		for _, iv := range ctxIntervals {
-			base := opt.run(Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed,
-				Threads: 4, SwitchEvery: iv})
-			mall := opt.run(Options{Workload: w, Variant: VariantMallacc, MCEntries: 16, Calls: opt.Calls, Seed: opt.Seed,
-				Threads: 4, SwitchEvery: iv})
+		for j := range ctxIntervals {
+			k := 2 * (i*len(ctxIntervals) + j)
+			base, mall := res[k], res[k+1]
 			imp := 100 * (float64(base.AllocatorCycles()) - float64(mall.AllocatorCycles())) / float64(base.AllocatorCycles())
 			row = append(row, pct(imp))
 			hitRow = append(hitRow, pct(100*mall.MC.PopHitRate()))

@@ -220,8 +220,10 @@ type driver struct {
 	footLines uint64 // number of cache lines in the app footprint
 	touchBuf  []uint64
 
-	liveRounded map[uint64]uint64 // addr -> rounded bytes
-	liveBytes   uint64
+	// liveBytes is the rounded footprint of the live objects. Free reads
+	// an object's rounded size back from the page map (roundedSize), so no
+	// per-object table is kept host-side.
+	liveBytes uint64
 }
 
 // tc returns the active thread cache.
@@ -336,7 +338,6 @@ func Run(opt Options) *Result {
 		res:         res,
 		track:       progress.NewTracker(opt.Progress, opt.ProgressEvery),
 		switchEvery: opt.SwitchEvery,
-		liveRounded: map[uint64]uint64{},
 	}
 	if fp := workload.FootprintOf(opt.Workload); fp > 0 {
 		d.footBase = uint64(1) << 40
@@ -394,7 +395,6 @@ func (d *driver) Malloc(size uint64) uint64 {
 	} else {
 		rounded = mem.RoundUp(size, mem.PageSize)
 	}
-	d.liveRounded[addr] = rounded
 	d.liveBytes += rounded
 	if d.liveBytes > d.res.PeakLiveBytes {
 		d.res.PeakLiveBytes = d.liveBytes
@@ -415,10 +415,7 @@ func (d *driver) fillSnapshot(s *progress.Snapshot) {
 }
 
 func (d *driver) Free(addr uint64, sizeHint uint64) {
-	if r, ok := d.liveRounded[addr]; ok {
-		d.liveBytes -= r
-		delete(d.liveRounded, addr)
-	}
+	d.liveBytes -= d.roundedSize(addr)
 	d.heap.Em.Reset()
 	d.heap.Free(d.tc(), addr, sizeHint)
 	d.tick()
@@ -427,6 +424,21 @@ func (d *driver) Free(addr uint64, sizeHint uint64) {
 	d.res.FreeCycles += cyc
 	d.res.FreeCalls++
 	d.track.Observe(d.core.Cycle(), d.fillSnapshot)
+}
+
+// roundedSize returns the rounded footprint of the live object at addr,
+// read host-side from the page map (no micro-ops are emitted): its span's
+// class size for a small object, the span's page extent for a large one —
+// exactly the rounding Malloc added.
+func (d *driver) roundedSize(addr uint64) uint64 {
+	s := d.heap.PageHeap.PageMap().Get(addr >> mem.PageShift)
+	if s == nil {
+		return 0
+	}
+	if s.SizeClass == 0 {
+		return s.ByteLen()
+	}
+	return d.heap.SizeMap.ClassSize(s.SizeClass)
 }
 
 func (d *driver) Work(cycles uint64, lines int) {

@@ -2,9 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"mallacc/internal/area"
 	"mallacc/internal/multicore"
@@ -28,76 +26,63 @@ type ExpOptions struct {
 	// Cores caps the multi-core scaling sweep (default 16).
 	Cores int
 
-	// Submit, when non-nil, executes single-core runs on behalf of the
-	// experiments. The simulation service (internal/simsvc) injects a
-	// submitter that routes every run through its content-addressed result
-	// cache, so sweeps with overlapping grids — fig13 and fig14 share all
-	// their runs, repeated invocations share everything — re-simulate
-	// nothing. Nil falls back to Run.
+	// Every experiment declares its single-core runs as a grid of Options
+	// and reads the results in input order. With no hook set, the cells of
+	// a grid run concurrently on the InOrder pool.
+	//
+	// SubmitGrid, when non-nil, executes each grid instead and returns its
+	// results in input order; a single run is a grid of one. It is called
+	// from the experiment's goroutine, one grid at a time, and may run the
+	// cells of a grid concurrently. The simulation service (internal/simsvc)
+	// injects one that spreads each grid over the host's cores through its
+	// content-addressed run cache, so sweeps with overlapping grids — fig13
+	// and fig14 share all their runs, repeated invocations share
+	// everything — re-simulate nothing.
+	SubmitGrid func([]Options) []*Result
+	// Submit, when non-nil and SubmitGrid is nil, executes single-core runs
+	// one at a time, in grid order, on the experiment's goroutine — for
+	// hooks that time or trace each run and must not overlap them.
 	Submit func(Options) *Result
-	// SubmitCluster is Submit for multi-core runs (the scale sweep).
+	// SubmitCluster executes multi-core runs (the scale and designspace
+	// sweeps) one at a time, in grid order; nil runs each cluster grid on
+	// the InOrder pool.
 	SubmitCluster func(multicore.Config) *multicore.Result
 }
 
-// run executes one single-core simulation through the configured submitter.
-func (o ExpOptions) run(opt Options) *Result {
-	if o.Submit != nil {
-		return o.Submit(opt)
+// runGrid executes a grid of single-core simulations through the
+// configured hooks and returns the results in input order.
+func (o ExpOptions) runGrid(grid []Options) []*Result {
+	switch {
+	case o.SubmitGrid != nil:
+		return o.SubmitGrid(grid)
+	case o.Submit != nil:
+		return sequential(grid, o.Submit)
 	}
-	return Run(opt)
+	return InOrder(grid, Run, nil)
 }
 
-// runCluster executes one multi-core simulation through the configured
-// submitter.
-func (o ExpOptions) runCluster(cfg multicore.Config) *multicore.Result {
-	if o.SubmitCluster != nil {
-		return o.SubmitCluster(cfg)
-	}
-	return multicore.Run(cfg)
-}
+// run executes one single-core simulation: a grid of one.
+func (o ExpOptions) run(opt Options) *Result { return o.runGrid([]Options{opt})[0] }
 
 // runClusterGrid executes a batch of multi-core simulations and returns the
 // results in input order. Without an injected submitter the runs execute
-// concurrently on a bounded worker pool: each run is internally
-// deterministic regardless of host scheduling (the engine's determinism
-// matrix), and results are consumed strictly by input slot, so the report a
-// sweep produces is byte-identical to the sequential one. With a submitter
-// the runs stay sequential — the simulation service schedules, shards and
-// caches them itself.
+// concurrently on the InOrder pool: each run is internally deterministic
+// regardless of host scheduling (the engine's determinism matrix). With a
+// submitter the runs stay sequential — the simulation service caches them
+// itself.
 func (o ExpOptions) runClusterGrid(cfgs []multicore.Config) []*multicore.Result {
-	out := make([]*multicore.Result, len(cfgs))
 	if o.SubmitCluster != nil {
-		for i, cfg := range cfgs {
-			out[i] = o.SubmitCluster(cfg)
-		}
-		return out
+		return sequential(cfgs, o.SubmitCluster)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(cfgs) {
-		workers = len(cfgs)
+	return InOrder(cfgs, multicore.Run, nil)
+}
+
+// sequential runs every cell through submit, one after another.
+func sequential[C, R any](cells []C, submit func(C) R) []R {
+	out := make([]R, len(cells))
+	for i, c := range cells {
+		out[i] = submit(c)
 	}
-	if workers <= 1 {
-		for i, cfg := range cfgs {
-			out[i] = multicore.Run(cfg)
-		}
-		return out
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i] = multicore.Run(cfgs[i])
-			}
-		}()
-	}
-	for i := range cfgs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 	return out
 }
 
@@ -158,6 +143,16 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
+}
+
+// baselines returns one baseline run of each workload at the sweep's
+// budget and seed.
+func (o ExpOptions) baselines(ws []workload.Workload) []Options {
+	grid := make([]Options, len(ws))
+	for i, w := range ws {
+		grid[i] = Options{Workload: w, Variant: VariantBaseline, Calls: o.Calls, Seed: o.Seed}
+	}
+	return grid
 }
 
 func mustWorkload(name string) workload.Workload {
@@ -251,9 +246,9 @@ func Figure2(opt ExpOptions) *Report {
 	rep := &Report{ID: "fig2", Title: "CDF of time in malloc by call duration (baseline)"}
 	rep.Notes = append(rep.Notes, "paper: >60% of malloc time below 100 cycles for SPEC; masstree perf tests >30% on the fast path")
 	tb := &table{header: []string{"workload", "<32cy", "<100cy", "<1k", "<10k", "<100k"}}
-	for _, w := range workload.Macro() {
-		r := opt.run(Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
-		tb.addRow(w.Name(),
+	macro := workload.Macro()
+	for i, r := range opt.runGrid(opt.baselines(macro)) {
+		tb.addRow(macro[i].Name(),
 			pct(r.MallocHist.TimeCDFBelow(32)),
 			pct(r.MallocHist.TimeCDFBelow(100)),
 			pct(r.MallocHist.TimeCDFBelow(1000)),
@@ -293,10 +288,16 @@ func Table1(opt ExpOptions) *Report {
 		"paper: per-benchmark cycle error 3.7-12.3% vs real Haswell, average 6.28%",
 		"here: detailed OoO model vs the dependence-graph analytical reference (no silicon available)")
 	tb := &table{header: []string{"benchmark", "analytic(cyc)", "detailed(cyc)", "error", "paper-native(cyc)"}}
-	var errSum float64
+	var grid []Options
 	for _, c := range table1Benchmarks {
-		det := opt.run(Options{Workload: mustWorkload(c.name), Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
-		ana := opt.run(Options{Workload: mustWorkload(c.name), Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed, AnalyticCPU: true})
+		grid = append(grid,
+			Options{Workload: mustWorkload(c.name), Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed},
+			Options{Workload: mustWorkload(c.name), Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed, AnalyticCPU: true})
+	}
+	res := opt.runGrid(grid)
+	var errSum float64
+	for i, c := range table1Benchmarks {
+		det, ana := res[2*i], res[2*i+1]
 		d, a := det.MeanMallocCycles(), ana.MeanMallocCycles()
 		e := 100 * abs(d-a) / a
 		errSum += e
@@ -326,21 +327,36 @@ func Figure4(opt ExpOptions) *Report {
 	rep := &Report{ID: "fig4", Title: "Fast-path cycles by component (timing-ablated steps)"}
 	rep.Notes = append(rep.Notes, "paper: the three components together account for ~50% of fast-path cycles")
 	tb := &table{header: []string{"benchmark", "baseline", "-sampling", "-sizeclass", "-push/pop", "combined", "combined save"}}
-	ablate := func(w workload.Workload, label string, steps ...uop.Step) float64 {
-		var drop [uop.NumSteps]bool
-		for _, s := range steps {
-			drop[s] = true
-		}
-		r := opt.run(Options{Workload: w, Variant: VariantBaseline, UseDropSteps: true, DropSteps: drop, Calls: opt.Calls, Seed: opt.Seed})
-		rep.addRun(opt.Metrics, w.Name()+"/"+label, r)
-		return r.MeanFastMallocCycles()
+	ablations := []struct {
+		label string
+		steps []uop.Step
+	}{
+		{"baseline", nil},
+		{"-sampling", []uop.Step{uop.StepSampling}},
+		{"-sizeclass", []uop.Step{uop.StepSizeClass}},
+		{"-pushpop", []uop.Step{uop.StepPushPop}},
+		{"combined", []uop.Step{uop.StepSampling, uop.StepSizeClass, uop.StepPushPop}},
 	}
-	for _, w := range workload.Micro() {
-		base := ablate(w, "baseline")
-		noSamp := ablate(w, "-sampling", uop.StepSampling)
-		noSz := ablate(w, "-sizeclass", uop.StepSizeClass)
-		noPop := ablate(w, "-pushpop", uop.StepPushPop)
-		comb := ablate(w, "combined", uop.StepSampling, uop.StepSizeClass, uop.StepPushPop)
+	micro := workload.Micro()
+	var grid []Options
+	for _, w := range micro {
+		for _, a := range ablations {
+			var drop [uop.NumSteps]bool
+			for _, s := range a.steps {
+				drop[s] = true
+			}
+			grid = append(grid, Options{Workload: w, Variant: VariantBaseline, UseDropSteps: true, DropSteps: drop, Calls: opt.Calls, Seed: opt.Seed})
+		}
+	}
+	res := opt.runGrid(grid)
+	for i, w := range micro {
+		var fast [5]float64
+		for j, a := range ablations {
+			r := res[i*len(ablations)+j]
+			rep.addRun(opt.Metrics, w.Name()+"/"+a.label, r)
+			fast[j] = r.MeanFastMallocCycles()
+		}
+		base, noSamp, noSz, noPop, comb := fast[0], fast[1], fast[2], fast[3], fast[4]
 		save := 0.0
 		if base > 0 {
 			save = 100 * (base - comb) / base
@@ -360,8 +376,9 @@ func Figure6(opt ExpOptions) *Report {
 	rep := &Report{ID: "fig6", Title: "Size classes used per workload (CDF of malloc calls)"}
 	rep.Notes = append(rep.Notes, "paper: all but one workload use <5 classes on 90% of calls; xalancbmk needs ~30; masstree ~1")
 	tb := &table{header: []string{"workload", "classes", "50%", "90%", "99%"}}
-	for _, w := range workload.Macro() {
-		r := opt.run(Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
+	macro := workload.Macro()
+	for i, r := range opt.runGrid(opt.baselines(macro)) {
+		w := macro[i]
 		counts := make([]uint64, 0, len(r.ClassCounts))
 		var total uint64
 		for _, c := range r.ClassCounts {
@@ -390,10 +407,17 @@ func Figure6(opt ExpOptions) *Report {
 // improvementRows runs baseline/mallacc/limit for every macro workload and
 // returns per-workload improvements of the chosen metric.
 func improvementRows(opt ExpOptions, rep *Report, metric func(*Result) float64) (names []string, mallacc, limit []float64) {
-	for _, w := range workload.Macro() {
-		base := opt.run(Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
-		mall := opt.run(Options{Workload: w, Variant: VariantMallacc, MCEntries: 32, Calls: opt.Calls, Seed: opt.Seed})
-		lim := opt.run(Options{Workload: w, Variant: VariantLimit, Calls: opt.Calls, Seed: opt.Seed})
+	macro := workload.Macro()
+	var grid []Options
+	for _, w := range macro {
+		grid = append(grid,
+			Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed},
+			Options{Workload: w, Variant: VariantMallacc, MCEntries: 32, Calls: opt.Calls, Seed: opt.Seed},
+			Options{Workload: w, Variant: VariantLimit, Calls: opt.Calls, Seed: opt.Seed})
+	}
+	res := opt.runGrid(grid)
+	for i, w := range macro {
+		base, mall, lim := res[3*i], res[3*i+1], res[3*i+2]
 		rep.addRun(opt.Metrics, w.Name()+"/baseline", base)
 		rep.addRun(opt.Metrics, w.Name()+"/mallacc", mall)
 		rep.addRun(opt.Metrics, w.Name()+"/limit", lim)
@@ -455,9 +479,13 @@ func Figure14(opt ExpOptions) *Report {
 func durationComparison(id, title, wname string, opt ExpOptions, note string) *Report {
 	rep := &Report{ID: id, Title: title}
 	rep.Notes = append(rep.Notes, note)
-	var results [3]*Result
-	for i, v := range []Variant{VariantBaseline, VariantLimit, VariantMallacc} {
-		results[i] = opt.run(Options{Workload: mustWorkload(wname), Variant: v, MCEntries: 32, Calls: opt.Calls, Seed: opt.Seed})
+	variants := []Variant{VariantBaseline, VariantLimit, VariantMallacc}
+	grid := make([]Options, len(variants))
+	for i, v := range variants {
+		grid[i] = Options{Workload: mustWorkload(wname), Variant: v, MCEntries: 32, Calls: opt.Calls, Seed: opt.Seed}
+	}
+	results := opt.runGrid(grid)
+	for i, v := range variants {
 		rep.addRun(opt.Metrics, wname+"/"+v.String(), results[i])
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf("median malloc cycles: baseline=%.0f limit=%.0f mallacc=%.0f",
@@ -523,16 +551,25 @@ func Figure17(opt ExpOptions) *Report {
 	}
 	header = append(header, "limit")
 	tb := &table{header: header}
-	for _, w := range workload.Micro() {
-		base := opt.run(Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
-		b := float64(base.MallocCycles)
-		row := []string{w.Name()}
+	// Per benchmark: the baseline, one mallacc run per size, the limit.
+	micro := workload.Micro()
+	var grid []Options
+	for _, w := range micro {
+		grid = append(grid, Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
 		for _, s := range sizes {
-			r := opt.run(Options{Workload: w, Variant: VariantMallacc, MCEntries: s, Calls: opt.Calls, Seed: opt.Seed})
+			grid = append(grid, Options{Workload: w, Variant: VariantMallacc, MCEntries: s, Calls: opt.Calls, Seed: opt.Seed})
+		}
+		grid = append(grid, Options{Workload: w, Variant: VariantLimit, Calls: opt.Calls, Seed: opt.Seed})
+	}
+	res := opt.runGrid(grid)
+	per := len(sizes) + 2
+	for i, w := range micro {
+		cells := res[i*per : (i+1)*per]
+		b := float64(cells[0].MallocCycles)
+		row := []string{w.Name()}
+		for _, r := range cells[1:] {
 			row = append(row, pct(100*(b-float64(r.MallocCycles))/b))
 		}
-		lim := opt.run(Options{Workload: w, Variant: VariantLimit, Calls: opt.Calls, Seed: opt.Seed})
-		row = append(row, pct(100*(b-float64(lim.MallocCycles))/b))
 		tb.addRow(row...)
 	}
 	rep.addTable("", tb)
@@ -551,10 +588,10 @@ func Figure18(opt ExpOptions) *Report {
 	rep.Notes = append(rep.Notes, "paper: WSC fleet ~7%; masstree.same 18.6%; SPEC/xapian mostly 1-5%")
 	tb := &table{header: []string{"workload", "fraction", ""}}
 	tb.addRow("WSC (Kanev et al.)", pct(figure18WSC), bar(figure18WSC, 20, 40))
-	for _, w := range workload.Macro() {
-		r := opt.run(Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
+	macro := workload.Macro()
+	for i, r := range opt.runGrid(opt.baselines(macro)) {
 		f := 100 * r.AllocatorFraction()
-		tb.addRow(w.Name(), pct(f), bar(f, 20, 40))
+		tb.addRow(macro[i].Name(), pct(f), bar(f, 20, 40))
 	}
 	rep.addTable("", tb)
 	return rep
@@ -569,13 +606,22 @@ func Table2(opt ExpOptions) *Report {
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("paper: mean 0.43%%, max 0.78%% (perlbench); workloads failing the 95%% test omitted; %d seeds here", opt.Seeds))
 	tb := &table{header: []string{"workload", "speedup", "stddev", "p-value", "significant"}}
-	var sigSpeedups []float64
-	for _, w := range workload.Macro() {
-		var baseTotals, mallTotals, speedups []float64
+	macro := workload.Macro()
+	var grid []Options
+	for _, w := range macro {
 		for s := 0; s < opt.Seeds; s++ {
 			seed := opt.Seed + uint64(s)*7919
-			base := opt.run(Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: seed})
-			mall := opt.run(Options{Workload: w, Variant: VariantMallacc, MCEntries: 32, Calls: opt.Calls, Seed: seed})
+			grid = append(grid,
+				Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: seed},
+				Options{Workload: w, Variant: VariantMallacc, MCEntries: 32, Calls: opt.Calls, Seed: seed})
+		}
+	}
+	res := opt.runGrid(grid)
+	var sigSpeedups []float64
+	for i, w := range macro {
+		var baseTotals, mallTotals, speedups []float64
+		for s := 0; s < opt.Seeds; s++ {
+			base, mall := res[2*(i*opt.Seeds+s)], res[2*(i*opt.Seeds+s)+1]
 			bt, mt := float64(base.TotalCycles), float64(mall.TotalCycles)
 			baseTotals = append(baseTotals, bt)
 			mallTotals = append(mallTotals, mt)

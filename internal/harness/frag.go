@@ -22,9 +22,16 @@ func Frag(opt ExpOptions) *Report {
 		"overhead = OS-requested (excl. fixed metadata) / peak rounded-live; Mallacc is placement-neutral so its column must match",
 		"churn-heavy workloads with tiny live sets show the allocator's retention floor (thread caches, kept spans), not waste per object")
 	tb := &table{header: []string{"workload", "OS MiB", "peak live MiB", "overhead", "mallacc overhead"}}
-	for _, w := range workload.Macro() {
-		base := opt.run(Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed})
-		mall := opt.run(Options{Workload: w, Variant: VariantMallacc, MCEntries: 32, Calls: opt.Calls, Seed: opt.Seed})
+	macro := workload.Macro()
+	var grid []Options
+	for _, w := range macro {
+		grid = append(grid,
+			Options{Workload: w, Variant: VariantBaseline, Calls: opt.Calls, Seed: opt.Seed},
+			Options{Workload: w, Variant: VariantMallacc, MCEntries: 32, Calls: opt.Calls, Seed: opt.Seed})
+	}
+	res := opt.runGrid(grid)
+	for i, w := range macro {
+		base, mall := res[2*i], res[2*i+1]
 		ratio := func(r *Result) float64 {
 			if r.PeakLiveBytes == 0 {
 				return 0

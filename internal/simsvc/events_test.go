@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -182,11 +183,16 @@ func TestSSEClientDisconnect(t *testing.T) {
 // TestProgressEventDeterminism pins the determinism invariant: the same
 // spec and seed on two fresh services produce byte-identical event streams
 // (same cadence, same payloads), because progress is clocked on simulated
-// cycles, not wall time.
+// cycles, not wall time. The experiment spec runs its grid's cells
+// concurrently at GOMAXPROCS >= 2, yet reports them in input order, so its
+// stream also equals the one a GOMAXPROCS=1 service produces.
 func TestProgressEventDeterminism(t *testing.T) {
-	run := func() []JobEvent {
+	atLeastTwoProcs(t)
+	width := runtime.GOMAXPROCS(0)
+	run := func(spec JobSpec, procs int) []JobEvent {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		svc := newTestService(t, Config{Workers: 1, ProgressEvery: 10_000})
-		st := submitWait(t, svc, JobSpec{Workload: "ubench.gauss", Calls: 3000, Seed: 7})
+		st := submitWait(t, svc, spec)
 		log, err := svc.Events(st.ID)
 		if err != nil {
 			t.Fatal(err)
@@ -197,12 +203,22 @@ func TestProgressEventDeterminism(t *testing.T) {
 		}
 		return events
 	}
-	a, b := run(), run()
-	if len(a) < 3 {
-		t.Fatalf("cadence too coarse for the test: only %d events", len(a))
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("event streams differ:\n%+v\n%+v", a, b)
+	for _, spec := range []JobSpec{
+		{Workload: "ubench.gauss", Calls: 3000, Seed: 7},
+		{Experiment: "fig13", Calls: 2000, Seed: 7},
+	} {
+		a, b := run(spec, width), run(spec, width)
+		if len(a) < 3 {
+			t.Fatalf("%+v: cadence too coarse for the test: only %d events", spec, len(a))
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%+v: event streams differ:\n%+v\n%+v", spec, a, b)
+		}
+		if spec.Experiment != "" {
+			if serial := run(spec, 1); !reflect.DeepEqual(a, serial) {
+				t.Fatalf("%+v: event stream at GOMAXPROCS=%d differs from GOMAXPROCS=1:\n%+v\n%+v", spec, width, a, serial)
+			}
+		}
 	}
 }
 

@@ -94,11 +94,8 @@ type Service struct {
 	// Run-level memoization: experiments with overlapping grids (fig13 and
 	// fig14 share every run; fig17's sweep revisits the headline points)
 	// resolve their inner simulations here, keyed by the full option set.
-	runMu          sync.Mutex
-	runResults     map[string]*harness.Result
-	clusterResults map[string]*multicore.Result
-
-	runHits, runMisses atomic.Uint64
+	runs     runMemo[*harness.Result]
+	clusters runMemo[*multicore.Result]
 }
 
 // New builds and starts a service. The returned service accepts jobs
@@ -120,15 +117,13 @@ func New(cfg Config) (*Service, error) {
 		cfg.SSEHeartbeat = DefaultSSEHeartbeat
 	}
 	s := &Service{
-		reg:            reg,
-		cache:          cache,
-		breaker:        NewBreaker(cfg.Breaker),
-		traces:         traces,
-		progressEvery:  cfg.ProgressEvery,
-		sseHeartbeat:   cfg.SSEHeartbeat,
-		peerFill:       cfg.PeerFill,
-		runResults:     map[string]*harness.Result{},
-		clusterResults: map[string]*multicore.Result{},
+		reg:           reg,
+		cache:         cache,
+		breaker:       NewBreaker(cfg.Breaker),
+		traces:        traces,
+		progressEvery: cfg.ProgressEvery,
+		sseHeartbeat:  cfg.SSEHeartbeat,
+		peerFill:      cfg.PeerFill,
 	}
 	s.sched = NewScheduler(SchedulerConfig{
 		Workers:        cfg.Workers,
@@ -143,8 +138,8 @@ func New(cfg Config) (*Service, error) {
 	s.sched.RegisterMetrics(reg)
 	s.breaker.RegisterMetrics(reg)
 	s.traces.RegisterMetrics(reg)
-	reg.Counter("simsvc.runcache.hits", s.runHits.Load)
-	reg.Counter("simsvc.runcache.misses", s.runMisses.Load)
+	reg.Counter("simsvc.runcache.hits", func() uint64 { return s.runs.hits.Load() + s.clusters.hits.Load() })
+	reg.Counter("simsvc.runcache.misses", func() uint64 { return s.runs.misses.Load() + s.clusters.misses.Load() })
 	reg.Counter("simsvc.sse.streams", s.sseStreams.Load)
 	reg.Counter("simsvc.cache.peer.served", s.peerServed.Load)
 	reg.Counter("simsvc.cache.peer.notfound", s.peerNotFound.Load)
@@ -286,17 +281,12 @@ func (s *Service) buildReport(ctx context.Context, spec JobSpec, prog progress.R
 		// sentinel panic is recovered by the worker's isolation goroutine.
 		agg := &experimentProgress{rep: prog}
 		return exp.Run(harness.ExpOptions{
-			Calls:   spec.Calls,
-			Seeds:   spec.Seeds,
-			Seed:    spec.Seed,
-			Metrics: spec.Metrics,
-			Cores:   spec.Cores,
-			Submit: func(opt harness.Options) *harness.Result {
-				abortIfDone(ctx)
-				r := s.cachedRun(opt)
-				agg.addRun(r)
-				return r
-			},
+			Calls:      spec.Calls,
+			Seeds:      spec.Seeds,
+			Seed:       spec.Seed,
+			Metrics:    spec.Metrics,
+			Cores:      spec.Cores,
+			SubmitGrid: s.gridSubmitter(ctx, agg),
 			SubmitCluster: func(cfg multicore.Config) *multicore.Result {
 				abortIfDone(ctx)
 				r := s.cachedCluster(cfg)
@@ -309,13 +299,29 @@ func (s *Service) buildReport(ctx context.Context, spec JobSpec, prog progress.R
 	}
 }
 
+// gridSubmitter returns an experiment job's SubmitGrid hook. Each grid
+// spreads over GOMAXPROCS goroutines through the run cache; a cell's panic
+// (the cancellation sentinel included) is recovered on its goroutine and
+// re-raised on the job goroutine that called the hook, and progress is
+// reported there too, in the grid's input order.
+func (s *Service) gridSubmitter(ctx context.Context, agg *experimentProgress) func([]harness.Options) []*harness.Result {
+	return func(grid []harness.Options) []*harness.Result {
+		return harness.InOrder(grid, func(opt harness.Options) *harness.Result {
+			abortIfDone(ctx)
+			return s.cachedRun(opt)
+		}, func(_ int, r *harness.Result) { agg.addRun(r) })
+	}
+}
+
 // experimentProgress turns an experiment's inner-run completions into one
-// cumulative progress event each. Experiments drive their runs serially,
-// but the mutex keeps the accounting safe if one ever fans out.
+// cumulative progress event each. It is fed only from the job goroutine:
+// single-core grids report through InOrder's in-order callback even while
+// their cells run concurrently, and cluster runs through their sequential
+// hook. So the events keep the grid's input order and the stream is a pure
+// function of the spec.
 type experimentProgress struct {
 	rep progress.Reporter
 
-	mu     sync.Mutex
 	track  progress.Snapshot
 	cycles uint64
 }
@@ -334,7 +340,6 @@ func (e *experimentProgress) add(cycles, uops, mallocs, frees uint64) {
 	if e.rep == nil {
 		return
 	}
-	e.mu.Lock()
 	e.cycles += cycles
 	e.track.Cycles = e.cycles
 	e.track.Instructions += uops
@@ -342,7 +347,6 @@ func (e *experimentProgress) add(cycles, uops, mallocs, frees uint64) {
 	e.track.FreeCalls += frees
 	sn := e.track
 	e.track.Seq++
-	e.mu.Unlock()
 	e.rep.Report(sn)
 }
 
@@ -360,21 +364,7 @@ func (s *Service) cachedRun(opt harness.Options) *harness.Result {
 	if !ok {
 		return harness.Run(opt)
 	}
-	s.runMu.Lock()
-	if r, hit := s.runResults[key]; hit {
-		s.runMu.Unlock()
-		s.runHits.Add(1)
-		return r
-	}
-	s.runMu.Unlock()
-	s.runMisses.Add(1)
-	r := harness.Run(opt)
-	s.runMu.Lock()
-	if len(s.runResults) < maxRunResults {
-		s.runResults[key] = r
-	}
-	s.runMu.Unlock()
-	return r
+	return s.runs.get(key, func() *harness.Result { return harness.Run(opt) })
 }
 
 // cachedCluster memoizes multi-core runs by full config fingerprint.
@@ -383,21 +373,75 @@ func (s *Service) cachedCluster(cfg multicore.Config) *multicore.Result {
 	if !ok {
 		return multicore.Run(cfg)
 	}
-	s.runMu.Lock()
-	if r, hit := s.clusterResults[key]; hit {
-		s.runMu.Unlock()
-		s.runHits.Add(1)
+	return s.clusters.get(key, func() *multicore.Result { return multicore.Run(cfg) })
+}
+
+// runMemo memoizes simulation results by content key and deduplicates
+// in-flight simulations: while one caller simulates a key, every other
+// caller for it waits for that result instead of simulating it again. A
+// waiter counts as a hit, so the counters read as they would had the
+// callers run one after another.
+type runMemo[T any] struct {
+	mu      sync.Mutex
+	done    map[string]T
+	flights map[string]*flight[T]
+
+	hits, misses atomic.Uint64
+}
+
+// flight is one in-progress simulation; ready closes once res (or the
+// simulation's panic) is set.
+type flight[T any] struct {
+	ready    chan struct{}
+	res      T
+	panicked bool
+	val      any
+}
+
+// get returns the result under key, running compute at most once among
+// concurrent callers. A panic in compute reaches every caller of the
+// flight and leaves nothing memoized.
+func (m *runMemo[T]) get(key string, compute func() T) T {
+	m.mu.Lock()
+	if r, ok := m.done[key]; ok {
+		m.mu.Unlock()
+		m.hits.Add(1)
 		return r
 	}
-	s.runMu.Unlock()
-	s.runMisses.Add(1)
-	r := multicore.Run(cfg)
-	s.runMu.Lock()
-	if len(s.clusterResults) < maxRunResults {
-		s.clusterResults[key] = r
+	if f, ok := m.flights[key]; ok {
+		m.mu.Unlock()
+		m.hits.Add(1)
+		<-f.ready
+		if f.panicked {
+			panic(f.val)
+		}
+		return f.res
 	}
-	s.runMu.Unlock()
-	return r
+	if m.flights == nil {
+		m.done, m.flights = map[string]T{}, map[string]*flight[T]{}
+	}
+	f := &flight[T]{ready: make(chan struct{})}
+	m.flights[key] = f
+	m.mu.Unlock()
+	m.misses.Add(1)
+
+	defer func() {
+		if v := recover(); v != nil {
+			f.panicked, f.val = true, v
+		}
+		m.mu.Lock()
+		delete(m.flights, key)
+		if !f.panicked && len(m.done) < maxRunResults {
+			m.done[key] = f.res
+		}
+		m.mu.Unlock()
+		close(f.ready)
+		if f.panicked {
+			panic(f.val)
+		}
+	}()
+	f.res = compute()
+	return f.res
 }
 
 // runOptions lowers a canonical run spec to harness options, with the
